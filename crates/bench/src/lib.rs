@@ -2,16 +2,15 @@
 //! binaries (`figure8`, `figure9`, `height_bound`, `ablation_violations`,
 //! `rebalance_cost`), the machine-readable artifact bins (`bench_fig8`,
 //! `bench_range`, `bench_shard`, `bench_gate`) and the docs-gate bins
-//! (`linkcheck`, `readme_table`, `cfgcheck`).
+//! (`linkcheck`, `readme_table`).
 //!
 //! The knobs parsed here are the *bench* family (`NBTREE_BENCH_*`:
 //! durations, trials, thread sweeps, key ranges). Suite-construction
 //! knobs (`NBTREE_SHARDS`, `NBTREE_SHARD_SPAN`) are parsed exactly once
 //! per process by `workload::SuiteConfig::from_env` and threaded through
 //! `make_map`/`measure` as a value — no binary mutates the environment,
-//! and the `cfgcheck` gate keeps it that way.
+//! and `nblint`'s `cfg-env` rule keeps it that way.
 
-pub mod cfggate;
 pub mod gate;
 pub mod json;
 pub mod links;

@@ -51,6 +51,11 @@ fn ascending_inserts_stay_balanced() {
     let n = 4096u64;
     for i in 0..n {
         t.insert(i, i * 2);
+        // The first inserts build the tree's shape: audit after each, so
+        // a breach names the insert that caused it.
+        if i < 200 {
+            audit_ok(&t);
+        }
     }
     audit_ok(&t);
     assert_eq!(t.len(), n as usize);

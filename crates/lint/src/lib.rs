@@ -18,9 +18,8 @@
 //!    allowlisted reclamation modules; no `Guard` stored in type bodies.
 //! 4. **suppression hygiene** — every `#[allow(…)]` carries `// ALLOW:`.
 //!
-//! Plus the absorbed configuration gates from the retired standalone
-//! `cfgcheck` (environment-mutation tokens, `run_trial` hot-loop
-//! discipline) — `cfgcheck` remains as a thin alias bin in `bench`.
+//! Plus the configuration gates (environment-mutation tokens, `run_trial`
+//! hot-loop discipline) in [`mod@cfg`].
 //!
 //! Everything is hand-rolled and dependency-free (same offline-vendor
 //! policy as the rest of the workspace): a byte-level token-surface lexer

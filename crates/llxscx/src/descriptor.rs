@@ -1,12 +1,13 @@
 //! SCX-records: the descriptors that coordinate multi-record updates.
 
+use std::alloc::Layout;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 
 use crossbeam_epoch::Shared;
 
-use crate::pool::PoolShared;
 use crate::record::{Record, MAX_V};
+use crate::slab;
 
 /// SCX in progress: the records in `V` that point here are frozen.
 pub const IN_PROGRESS: u8 = 0;
@@ -27,17 +28,20 @@ pub const ABORTED: u8 = 2;
 /// # Reuse ("reuse, don't recycle")
 ///
 /// Unlike the PODC'13 presentation (fresh descriptor per SCX, garbage
-/// collector assumed), descriptors here are **pooled per thread** and
-/// reused: each [`scx`](crate::scx) checks one out of the calling thread's
-/// [`pool`](crate::pool), overwrites the payload, and returns it when its
-/// reference count drops to zero. Two mechanisms make reuse safe:
+/// collector assumed), descriptors here are **recycled per thread**: each
+/// [`scx`](crate::scx) checks one out of the calling thread's descriptor
+/// free list (kept in [`slab`]'s thread-local), overwrites the
+/// payload, and the final reference drop returns it to the free list of
+/// the thread that drops it. Two mechanisms make reuse safe:
 ///
 /// * `refs` proves quiescence: it counts the records whose `info` field
 ///   currently points at this descriptor, and reuse happens only at zero,
 ///   with the final decrement epoch-deferred (see [`reclaim`](crate::reclaim)
 ///   for why that makes the count exact). Reuse happens exactly where the
 ///   old code called `free`, so it inherits the same safety argument.
-/// * `seq` detects reuse: every checkout bumps the incarnation counter, and
+/// * `seq` detects reuse: every checkout bumps the incarnation counter
+///   (a descriptor slot is only ever reused as a descriptor, so the count
+///   survives reuse; a slot fresh from the allocator starts over), and
 ///   every *published* pointer to the descriptor (the value installed in
 ///   `info` fields) carries `seq` in its alignment tag bits
 ///   (`align(128)` ⇒ 7 bits). A freezing CAS whose expected value names a
@@ -49,11 +53,14 @@ pub const ABORTED: u8 = 2;
 ///
 /// # Layout
 ///
-/// `repr(align(128))` serves two purposes: a descriptor spans exactly two
-/// cache lines with no false sharing against neighbouring allocations on
-/// the hot `state`/`refs` words, and the 128-byte alignment frees the low
-/// 7 pointer bits for the sequence tag.
-#[repr(align(128))]
+/// `align(128)` serves two purposes: a descriptor spans exactly two cache
+/// lines with no false sharing against neighbouring allocations on the
+/// hot `state`/`refs` words, and the 128-byte alignment frees the low 7
+/// pointer bits for the sequence tag. `repr(C)` pins the field order: a
+/// free descriptor's first word holds the free-list link, which clobbers
+/// only `state` and `all_frozen` (both rewritten at checkout), never
+/// `seq`, and every `ScxRecord<N>` has the same layout whatever `N`.
+#[repr(C, align(128))]
 pub struct ScxRecord<N> {
     /// [`IN_PROGRESS`], [`COMMITTED`] or [`ABORTED`]. Transitions out of
     /// `IN_PROGRESS` happen exactly once per incarnation, via CAS.
@@ -65,14 +72,9 @@ pub struct ScxRecord<N> {
     /// Reference count for reclamation (not part of the PODC'13 algorithm,
     /// which assumed a garbage collector). Zero means "safe to reuse".
     pub(crate) refs: AtomicUsize,
-    /// Incarnation counter, bumped by every pool checkout. The low
+    /// Incarnation counter, bumped by every checkout. The low
     /// [`SEQ_TAG_BITS`] bits ride along in every published pointer's tag.
     pub(crate) seq: AtomicUsize,
-    /// Intrusive link for the owning pool's free stack; only touched while
-    /// the descriptor is quiescent (`refs == 0`).
-    pub(crate) free_next: AtomicPtr<ScxRecord<N>>,
-    /// The pool this descriptor was allocated by (and returns to).
-    pub(crate) pool: *const PoolShared<N>,
     /// The per-SCX arguments, overwritten at each checkout. Plain (non-
     /// atomic) data: written only between checkout and publication, read
     /// only between publication and the final reference drop.
@@ -109,7 +111,7 @@ pub(crate) struct ScxPayload<N> {
 // SAFETY: the raw pointers are owned by the epoch-managed heap; descriptors
 // are shared across threads only via `Atomic` info fields and all access to
 // pointees is mediated by epoch guards. Mutable state is atomic, except the
-// `payload` UnsafeCell, whose writes (at pool checkout, while `refs == 0`
+// `payload` UnsafeCell, whose writes (at checkout, while `refs == 0`
 // and unpublished) never overlap reads (only possible between publication
 // and the final, epoch-deferred reference drop) — see the reuse argument on
 // [`ScxRecord`] and the timing argument in [`reclaim`](crate::reclaim).
@@ -118,28 +120,51 @@ unsafe impl<N: Record> Send for ScxRecord<N> {}
 unsafe impl<N: Record> Sync for ScxRecord<N> {}
 
 impl<N: Record> ScxRecord<N> {
-    /// A quiescent descriptor bound to `pool`, ready for its first checkout.
-    pub(crate) fn new_in_pool(pool: *const PoolShared<N>) -> Self {
-        ScxRecord {
-            // A pooled-but-never-used descriptor must look terminal, not
-            // IN_PROGRESS, in case its address leaks through debug tooling.
-            state: AtomicU8::new(ABORTED),
-            all_frozen: AtomicBool::new(false),
-            refs: AtomicUsize::new(0),
-            seq: AtomicUsize::new(0),
-            free_next: AtomicPtr::new(std::ptr::null_mut()),
-            pool,
-            payload: UnsafeCell::new(ScxPayload {
-                len: 0,
-                v: [std::ptr::null(); MAX_V],
-                info_fields: [0; MAX_V],
-                finalize_mask: 0,
-                fld_node: std::ptr::null(),
-                fld_idx: 0,
-                old: std::ptr::null(),
-                new: std::ptr::null(),
-            }),
-        }
+    /// Checks a quiescent descriptor out of the calling thread's free list,
+    /// allocating a fresh one on a miss, and bumps its incarnation
+    /// counter; the caller must tag every published pointer with the new
+    /// value.
+    ///
+    /// The returned descriptor has `refs == 0` and is exclusively owned by
+    /// the caller until a freezing CAS publishes it.
+    pub(crate) fn checkout() -> *mut Self {
+        let d = match slab::take_descriptor(Layout::new::<Self>()) {
+            Some(slot) => slot as *mut Self,
+            None => Box::into_raw(Box::new(ScxRecord {
+                state: AtomicU8::new(ABORTED),
+                all_frozen: AtomicBool::new(false),
+                refs: AtomicUsize::new(0),
+                seq: AtomicUsize::new(0),
+                payload: UnsafeCell::new(ScxPayload {
+                    len: 0,
+                    v: [std::ptr::null(); MAX_V],
+                    info_fields: [0; MAX_V],
+                    finalize_mask: 0,
+                    fld_node: std::ptr::null(),
+                    fld_idx: 0,
+                    old: std::ptr::null(),
+                    new: std::ptr::null(),
+                }),
+            })),
+        };
+        // SAFETY: the descriptor is quiescent and ours alone; `seq` lies
+        // past the free-list link, so a recycled slot kept its count.
+        let seq = unsafe { &(*d).seq };
+        seq.store(
+            seq.load(Ordering::Relaxed).wrapping_add(1),
+            Ordering::Relaxed,
+        );
+        d
+    }
+
+    /// Returns a quiescent descriptor to the calling thread's free list,
+    /// or frees it past [`SLAB_CAP`](crate::slab::SLAB_CAP).
+    ///
+    /// # Safety
+    /// The caller must hold the *last* reference: `refs == 0` and no
+    /// thread can reach the descriptor any more.
+    pub(crate) unsafe fn release(d: *mut Self) {
+        slab::free_descriptor(d as *mut u8, Layout::new::<Self>());
     }
 
     /// Shared read access to the payload.

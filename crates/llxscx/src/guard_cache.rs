@@ -10,17 +10,20 @@
 //!   is warm this costs a thread-local access and two counter bumps — the
 //!   inner `pin()` that callees may still perform is a depth increment
 //!   (the vendored crossbeam-epoch's nested-pin fast path).
-//! * Every [`REPIN_OPS`]-th call the cached guard is dropped, the thread's
-//!   deferred-function batch is flushed, a collection pass runs, and a
-//!   fresh pin is taken. This bounds both garbage accumulation and how far
-//!   this thread can hold the global epoch back.
+//! * Every [`REPIN_OPS`]-th call the cached guard is dropped, a collection
+//!   pass runs (`crossbeam_epoch::flush_and_collect`: advance the epoch,
+//!   run this thread's ripe retirements), and a fresh pin is taken. This
+//!   bounds both garbage accumulation and how far this thread can hold
+//!   the global epoch back.
 //!
 //! # Liveness caveat
 //!
 //! A thread that stops calling [`with_guard`] *while its cache is warm*
 //! keeps the epoch pinned until it either calls again or exits (thread exit
 //! drops the cache). Long-lived threads that go idle between bursts of
-//! tree operations can call [`flush`] to release the cached pin eagerly.
+//! tree operations can call [`flush`] to release the cached pin eagerly;
+//! it also hands the thread's unripe retirements to the collector's
+//! orphan list, where other threads' collections run them.
 //! This is the standard trade of amortized pinning; the repin interval
 //! keeps the window small under load, and the throughput win on read-heavy
 //! workloads (where pinning was the dominant cost) is what the paper's
@@ -95,8 +98,8 @@ pub fn with_guard_weighted<R>(weight: u32, f: impl FnOnce(&Guard) -> R) -> R {
                 let uses = cache.uses.get();
                 if uses >= REPIN_OPS {
                     // Drop the cached pin so the global epoch can advance
-                    // past this thread, flush our deferred batch, collect,
-                    // and repin fresh.
+                    // past this thread, run our ripe retirements, and
+                    // repin fresh.
                     *slot = None;
                     crossbeam_epoch::flush_and_collect();
                     cache.uses.set(weight.min(REPIN_OPS));
@@ -112,9 +115,10 @@ pub fn with_guard_weighted<R>(weight: u32, f: impl FnOnce(&Guard) -> R) -> R {
     })
 }
 
-/// Drops this thread's cached guard (if any), flushes its deferred batch
-/// and runs a collection pass. Call before parking a long-lived thread
-/// that performed tree operations and will now go idle.
+/// Drops this thread's cached guard (if any), runs a collection pass and
+/// hands the thread's unripe retirements to other threads' collections.
+/// Call before parking a long-lived thread that performed tree operations
+/// and will now go idle.
 pub fn flush() {
     let _ = CACHE.try_with(|cache| {
         if let Ok(mut slot) = cache.guard.try_borrow_mut() {
@@ -122,7 +126,7 @@ pub fn flush() {
             cache.uses.set(0);
         }
     });
-    crossbeam_epoch::flush_and_collect();
+    crossbeam_epoch::hand_off();
 }
 
 #[cfg(test)]

@@ -54,17 +54,18 @@
 //!
 //! The PODC/PPoPP papers assume a garbage collector. We substitute
 //! epoch-based reclamation (crossbeam-epoch) plus reference counting of
-//! SCX-records: a descriptor is freed once no node's `info` points at it and
-//! no live descriptor lists it as an expected `info` value. Nodes finalized
-//! by a committed SCX are retired by the unique thread that wins the
-//! commit transition. See [`reclaim`] for the full argument.
+//! SCX-records: a descriptor is recycled once no node's `info` points at
+//! it, and an incarnation tag makes stale expectations of a recycled
+//! descriptor fail. Nodes finalized by a committed SCX are retired by the
+//! unique thread that wins the commit transition. Each thread runs its own
+//! retirements, and freed records and descriptors go to that thread's
+//! free lists in [`slab`]. See [`reclaim`] for the full argument.
 
 #![warn(missing_docs)]
 
 pub mod descriptor;
 pub mod guard_cache;
 pub mod ops;
-pub mod pool;
 pub mod reclaim;
 pub mod record;
 pub mod slab;

@@ -5,7 +5,6 @@ use std::sync::atomic::Ordering;
 use crossbeam_epoch::{Guard, Pointer, Shared};
 
 use crate::descriptor::{state_of, ScxPayload, ScxRecord, ABORTED, COMMITTED, IN_PROGRESS};
-use crate::pool;
 use crate::reclaim::{defer_dec_refs, defer_dispose_record, inc_refs};
 use crate::record::{load_info, quiescent, Record, MAX_ARITY, MAX_V};
 
@@ -198,11 +197,11 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
     }
     let old = args.v[args.fld_record].children[args.fld_idx];
 
-    // Check a descriptor out of the calling thread's pool instead of
+    // Check a descriptor out of the calling thread's free list instead of
     // allocating (the dominant update-path cost once the protocol is
     // cheap). We own it exclusively until the first freezing CAS: refs is
     // zero and the new incarnation has never been published.
-    let desc_ptr = pool::acquire::<N>();
+    let desc_ptr = ScxRecord::<N>::checkout();
     // SAFETY: exclusive access (see above); payload writes cannot race.
     let desc_s: Shared<'g, ScxRecord<N>> = unsafe {
         let d = &*desc_ptr;
@@ -231,7 +230,7 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
     // every expected descriptor for as long as this one lived, which chains
     // descriptors together (A is named by B, B by C, ...) and in steady
     // state leaks one descriptor per committed SCX — the head of the chain
-    // always has a live install, so the chain never collapses. With pooling
+    // always has a live install, so the chain never collapses. With reuse
     // the expectation is protected differently: a freezing CAS compares the
     // whole tagged word, and reusing a descriptor bumps its incarnation
     // tag, so a stale expectation fails on the tag instead of relying on
@@ -242,7 +241,7 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
     if !ok {
         // If the descriptor was never installed anywhere, no other thread
         // ever saw it (helpers only discover descriptors via info fields),
-        // so the initiator may return it to the pool directly.
+        // so the initiator may return it to its free list directly.
         // SAFETY: refs counts installs; during our pin any install's
         // deferred decrement cannot yet have run, so refs == 0 certifies
         // "never installed".
@@ -250,7 +249,7 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
             let d = &*desc_ptr;
             // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
             if d.refs.load(Ordering::SeqCst) == 0 {
-                pool::release(desc_ptr);
+                ScxRecord::release(desc_ptr);
             }
         }
     }
@@ -267,9 +266,9 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
 /// range scans — linearizable at zero cost to writers.
 ///
 /// Incarnation awareness: the comparison is on the whole tagged word, not
-/// the descriptor address. A pooled descriptor that was recycled between the
+/// the descriptor address. A descriptor that was recycled between the
 /// LLX and this VLX comes back with a bumped incarnation tag (see
-/// [`pool`]), so address reuse alone can never make a stale snapshot
+/// [`ScxRecord`]), so address reuse alone can never make a stale snapshot
 /// validate — the same sequence-number argument that protects the freezing
 /// CAS in the SCX helper.
 ///
@@ -616,7 +615,7 @@ mod tests {
 
         // A handle identical to `genuine` except for the incarnation tag —
         // exactly what a helper holds after the expected descriptor was
-        // returned to the pool and checked out again (seq bumped).
+        // returned to a free list and checked out again (seq bumped).
         let stale = LlxHandle {
             // SAFETY: same allocation as `genuine.info`, only the tag differs.
             info: unsafe { Shared::from_usize(genuine.info.into_usize() ^ 0x1) },
@@ -708,7 +707,7 @@ mod tests {
     }
 
     /// End-to-end reuse: cycling SCXs through one thread must recycle
-    /// descriptor allocations through the pool (the update path allocates
+    /// descriptor allocations through the free list (the update path allocates
     /// nothing in steady state), observable as a repeated descriptor
     /// address with increasing incarnation numbers.
     #[test]
@@ -754,7 +753,7 @@ mod tests {
                     .push(unsafe { cur.deref() }.incarnation());
             }
             // Let deferred reference drops run so descriptors return to
-            // the pool.
+            // the free list.
             crossbeam_epoch::flush_and_collect();
         }
         let reused = seen.values().filter(|v| v.len() > 1).count();

@@ -7,14 +7,16 @@
 //!    freed: anything unlinked from the shared structure is freed only after
 //!    every thread pinned at unlink time has unpinned, so concurrent
 //!    traversals through removed nodes (correctness property C3 of the
-//!    paper) remain safe.
+//!    paper) remain safe. Reclamation is thread-exclusive: each thread
+//!    runs the retirements it deferred itself, and only a thread that goes
+//!    idle or exits hands its unripe ones to another thread's collection.
 //! 2. **Install counting of SCX-records** for *whether* a descriptor is
 //!    still reachable: `refs(d)` counts exactly the records whose `info`
 //!    field currently points at `d`. It is incremented by the helper whose
 //!    freezing CAS installed `d` and decremented — epoch-deferred — when a
 //!    later freezing CAS replaces `d`, or when the record itself is
-//!    disposed. At zero the descriptor returns to its owner's
-//!    [`pool`](crate::pool).
+//!    disposed. At zero the descriptor returns to the descriptor free list
+//!    of the thread that drops it (in [`slab`](crate::slab)).
 //!
 //! **Why deferred decrements make the count exact.** An increment always
 //! happens under a guard pinned when `d` was *observed* installed on some
@@ -32,8 +34,8 @@
 //! counting those mentions into `refs`, which chains descriptors (`A`
 //! named by `B`, `B` by `C`, ...): the head of the chain always has a live
 //! install, so nothing in the chain was ever reclaimed — a leak of one
-//! descriptor per committed SCX, and a pool that never received anything
-//! back. Pooling replaces the keep-alive with the **incarnation tag**:
+//! descriptor per committed SCX, and a free list that never received
+//! anything back. Reuse replaces the keep-alive with the **incarnation tag**:
 //! every published `info` word carries the descriptor's sequence number in
 //! its 7 alignment bits, and a checkout bumps the sequence, so a helper's
 //! stale expectation from `A`'s previous life mismatches on the tag and
@@ -49,8 +51,9 @@
 //! alignment if a deployment needs more headroom.
 //!
 //! **Reclaim = reuse.** Reaching `refs == 0` used to free the descriptor;
-//! it now returns it to the owning thread's [`pool`](crate::pool) for
-//! reuse by a later SCX, and only pool overflow actually frees memory.
+//! it now returns it to the calling thread's descriptor free list for reuse
+//! by that thread's next SCX, and only free-list overflow (past
+//! [`SLAB_CAP`](crate::slab::SLAB_CAP)) actually frees memory.
 
 use crossbeam_epoch::Guard;
 
@@ -71,8 +74,8 @@ pub(crate) unsafe fn inc_refs<N: Record>(d: *const ScxRecord<N>) {
     debug_assert!(prev < usize::MAX / 2, "descriptor refcount overflow");
 }
 
-/// Performs one decrement of `start`'s reference count, returning it to its
-/// owner's pool if the count reaches zero.
+/// Performs one decrement of `d`'s reference count, returning it to the
+/// calling thread's descriptor free list if the count reaches zero.
 ///
 /// # Safety
 /// Must be called at most once per previous increment, and only at a time
@@ -99,9 +102,9 @@ pub(crate) unsafe fn dec_refs<N: Record>(d: *const ScxRecord<N>) {
         // already-cached load on the zero-crossing path only.
         let observed = (*d).refs.load(std::sync::atomic::Ordering::Acquire);
         debug_assert_eq!(observed, 0, "racing increment on a dead descriptor");
-        // The refcount-based free path is now a return-to-pool path;
-        // only pool overflow actually frees memory.
-        crate::pool::release(d as *mut ScxRecord<N>);
+        // The refcount-based free path is a return-to-free-list path;
+        // only free-list overflow actually frees memory.
+        ScxRecord::release(d as *mut ScxRecord<N>);
     }
 }
 

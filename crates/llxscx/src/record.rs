@@ -67,10 +67,10 @@ impl<N> Default for RecordHeader<N> {
 /// `child(i)` must return the same `&Atomic` for the same `i` for the
 /// lifetime of the record, and `header()` must return the embedded header.
 ///
-/// The `'static` bound exists because each SCX checks its descriptor out of
-/// a per-thread, per-record-type pool keyed by `TypeId` (see
-/// [`pool`](crate::pool)); records own their keys/values anyway, so the
-/// bound costs implementors nothing in practice.
+/// The `'static` bound exists because retirements are epoch-deferred
+/// closures generic over the record type, and a deferred closure must be
+/// `'static`; records own their keys/values anyway, so the bound costs
+/// implementors nothing in practice.
 pub trait Record: Sized + Send + Sync + 'static {
     /// Number of mutable child-pointer fields (at most [`MAX_ARITY`]).
     const ARITY: usize;

@@ -19,11 +19,17 @@
 //! allocation may be released here — the two are interchangeable, so
 //! callers that bypass the cache stay correct.
 //!
-//! Frees land on whichever thread runs the epoch-deferred disposal, not
-//! necessarily the allocating thread. That is fine: the freelist is purely
-//! local, so slots simply migrate between threads' caches; a skewed flow
-//! (one thread only frees) is bounded by [`SLAB_CAP`] and spills to the
-//! real allocator.
+//! Frees land on whichever thread runs the epoch-deferred disposal: the
+//! thread that retired the record (each thread runs its own retirements),
+//! or, for a thread that went idle or exited first, whichever thread
+//! adopts its bag. The freelist is purely local, so slots may migrate
+//! between threads' caches; a skewed flow (one thread only frees) is
+//! bounded by [`SLAB_CAP`] and spills to the real allocator.
+//!
+//! SCX descriptors recycle through the same thread-local, in classes of
+//! their own: a descriptor slot is only ever reused as a descriptor, so
+//! its incarnation counter survives reuse (see
+//! [`ScxRecord`](crate::ScxRecord)).
 
 use std::alloc::Layout;
 use std::cell::RefCell;
@@ -44,8 +50,20 @@ struct SlabClass {
     len: usize,
 }
 
+/// One thread's caches: record slots and descriptor slots, each a list of
+/// per-layout classes.
+struct Slabs {
+    records: Vec<SlabClass>,
+    descriptors: Vec<SlabClass>,
+}
+
 thread_local! {
-    static SLABS: RefCell<Vec<SlabClass>> = const { RefCell::new(Vec::new()) };
+    static SLABS: RefCell<Slabs> = const {
+        RefCell::new(Slabs {
+            records: Vec::new(),
+            descriptors: Vec::new(),
+        })
+    };
 }
 
 impl Drop for SlabClass {
@@ -63,6 +81,61 @@ impl Drop for SlabClass {
     }
 }
 
+/// Pops a cached slot of `layout` from the class list `pick` selects.
+fn take(pick: impl Fn(&mut Slabs) -> &mut Vec<SlabClass>, layout: Layout) -> Option<*mut u8> {
+    SLABS
+        .try_with(|slabs| {
+            let mut slabs = slabs.borrow_mut();
+            let class = pick(&mut slabs).iter_mut().find(|c| c.layout == layout)?;
+            if class.head.is_null() {
+                return None;
+            }
+            let slot = class.head;
+            // SAFETY: free slots store their successor in the first word.
+            class.head = unsafe { *(slot as *mut *mut u8) };
+            class.len -= 1;
+            Some(slot)
+        })
+        .ok()
+        .flatten()
+}
+
+/// Caches `ptr` in the class list `pick` selects, overwriting its first
+/// word with the freelist link, or frees it to the global allocator when
+/// the class is full (or TLS is tearing down).
+///
+/// # Safety
+/// `ptr` must have been allocated with `layout` from the global allocator
+/// and must not be referenced any more.
+unsafe fn give(pick: impl Fn(&mut Slabs) -> &mut Vec<SlabClass>, ptr: *mut u8, layout: Layout) {
+    let cached = SLABS.try_with(|slabs| {
+        let mut slabs = slabs.borrow_mut();
+        let classes = pick(&mut slabs);
+        let i = match classes.iter().position(|c| c.layout == layout) {
+            Some(i) => i,
+            None => {
+                classes.push(SlabClass {
+                    layout,
+                    head: std::ptr::null_mut(),
+                    len: 0,
+                });
+                classes.len() - 1
+            }
+        };
+        let class = &mut classes[i];
+        if class.len >= SLAB_CAP {
+            return false;
+        }
+        *(ptr as *mut *mut u8) = class.head;
+        class.head = ptr;
+        class.len += 1;
+        true
+    });
+    if !matches!(cached, Ok(true)) {
+        std::alloc::dealloc(ptr, layout);
+    }
+}
+
 /// Allocates a slot of `layout`, reusing a thread-locally cached one when
 /// available. The returned memory is uninitialized.
 ///
@@ -70,19 +143,7 @@ impl Drop for SlabClass {
 /// the slot); all Data-records easily clear that bar.
 pub fn alloc_slot(layout: Layout) -> *mut u8 {
     debug_assert!(layout.size() >= std::mem::size_of::<*mut u8>());
-    let cached = SLABS.try_with(|slabs| {
-        let mut slabs = slabs.borrow_mut();
-        let class = slabs.iter_mut().find(|c| c.layout == layout)?;
-        if class.head.is_null() {
-            return None;
-        }
-        let slot = class.head;
-        // SAFETY: free slots store their successor in the first word.
-        class.head = unsafe { *(slot as *mut *mut u8) };
-        class.len -= 1;
-        Some(slot)
-    });
-    if let Ok(Some(slot)) = cached {
+    if let Some(slot) = take(|s| &mut s.records, layout) {
         return slot;
     }
     // Miss (or thread teardown): the real allocator.
@@ -100,30 +161,22 @@ pub fn alloc_slot(layout: Layout) -> *mut u8 {
 /// (directly, via `Box`, or via [`alloc_slot`]) and must not be referenced
 /// any more.
 pub unsafe fn free_slot(ptr: *mut u8, layout: Layout) {
-    let cached = SLABS.try_with(|slabs| {
-        let mut slabs = slabs.borrow_mut();
-        let class = match slabs.iter_mut().find(|c| c.layout == layout) {
-            Some(c) => c,
-            None => {
-                slabs.push(SlabClass {
-                    layout,
-                    head: std::ptr::null_mut(),
-                    len: 0,
-                });
-                slabs.last_mut().expect("just pushed")
-            }
-        };
-        if class.len >= SLAB_CAP {
-            return false;
-        }
-        *(ptr as *mut *mut u8) = class.head;
-        class.head = ptr;
-        class.len += 1;
-        true
-    });
-    if !matches!(cached, Ok(true)) {
-        std::alloc::dealloc(ptr, layout);
-    }
+    give(|s| &mut s.records, ptr, layout);
+}
+
+/// Pops a cached descriptor slot of `layout`. Its first word is the stale
+/// freelist link; every later byte is as the last release left it.
+pub(crate) fn take_descriptor(layout: Layout) -> Option<*mut u8> {
+    take(|s| &mut s.descriptors, layout)
+}
+
+/// Caches a descriptor slot for [`take_descriptor`], or frees it to the
+/// global allocator past [`SLAB_CAP`].
+///
+/// # Safety
+/// As for [`free_slot`]; the slot must hold a descriptor.
+pub(crate) unsafe fn free_descriptor(ptr: *mut u8, layout: Layout) {
+    give(|s| &mut s.descriptors, ptr, layout);
 }
 
 /// Allocates `value` through the slot cache, returning an
@@ -184,6 +237,81 @@ mod tests {
         assert_eq!(again, boxed as *mut u8);
         // SAFETY: `again` came from `alloc_slot` with the same layout.
         unsafe { free_slot(again, layout) };
+    }
+
+    struct Node {
+        header: crate::RecordHeader<Node>,
+        kids: [crate::Atomic<Node>; 2],
+    }
+    impl crate::Record for Node {
+        const ARITY: usize = 2;
+        fn header(&self) -> &crate::RecordHeader<Self> {
+            &self.header
+        }
+        fn child(&self, i: usize) -> &crate::Atomic<Self> {
+            &self.kids[i]
+        }
+    }
+    type Desc = crate::ScxRecord<Node>;
+
+    #[test]
+    fn descriptor_released_on_another_thread_is_reused_there() {
+        let d = Desc::checkout() as usize;
+        // SAFETY: `d` is a live descriptor this test checked out.
+        let seq = unsafe { (*(d as *mut Desc)).incarnation() };
+        std::thread::spawn(move || {
+            // SAFETY: the only reference to `d`, released exactly once.
+            unsafe { Desc::release(d as *mut Desc) };
+            let again = Desc::checkout();
+            assert_eq!(again as usize, d, "the releasing thread reuses the slot");
+            // SAFETY: `again` is live until the release below.
+            assert_eq!(unsafe { (*again).incarnation() }, seq + 1);
+            // SAFETY: checked out above, released exactly once.
+            unsafe { Desc::release(again) };
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn descriptor_release_past_cap_frees_the_slot() {
+        let descs: Vec<*mut Desc> = (0..SLAB_CAP + 8).map(|_| Desc::checkout()).collect();
+        for &d in &descs {
+            // SAFETY: each checkout is released exactly once.
+            unsafe { Desc::release(d) };
+        }
+        let cached = SLABS.with(|s| {
+            let s = s.borrow();
+            let layout = Layout::new::<Desc>();
+            s.descriptors
+                .iter()
+                .find(|c| c.layout == layout)
+                .map(|c| c.len)
+        });
+        assert_eq!(cached, Some(SLAB_CAP), "overflow must go to the allocator");
+    }
+
+    #[test]
+    fn released_descriptor_is_not_handed_out_as_a_record_slot() {
+        let layout = Layout::new::<Desc>();
+        let d = Desc::checkout();
+        // SAFETY: `d` is live until the release below.
+        let seq = unsafe { (*d).incarnation() };
+        // SAFETY: checked out above, released exactly once.
+        unsafe { Desc::release(d) };
+        // A record of the descriptor's layout must miss the descriptor
+        // class: writing a record over the slot would clobber `seq`.
+        let r = alloc_slot(layout);
+        assert_ne!(r, d as *mut u8);
+        let again = Desc::checkout();
+        assert_eq!(again, d);
+        // SAFETY: `again` is live until the release below.
+        assert_eq!(unsafe { (*again).incarnation() }, seq + 1);
+        // SAFETY: each slot is released exactly once, to its own class.
+        unsafe {
+            free_slot(r, layout);
+            Desc::release(again);
+        }
     }
 
     #[test]

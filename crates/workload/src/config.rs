@@ -16,7 +16,7 @@
 //! through [`make_map`](crate::make_map) / [`measure`](crate::measure).
 //! A mis-sized boundary table is now unrepresentable by construction: the
 //! config that built the map is the config the map used, and nothing in
-//! the suite mutates the environment. A CI gate (`cfgcheck`, see
+//! the suite mutates the environment. `nblint`'s `cfg-env` rule (see
 //! `docs/TESTING.md`) keeps `set_var` from creeping back in.
 
 /// Construction-time configuration for the structure registry
@@ -209,8 +209,8 @@ mod tests {
     #[test]
     fn env_round_trip_through_a_lookup() {
         // The parsing rules, exercised without mutating the process
-        // environment (nothing in the suite may call `set_var`; the
-        // `cfgcheck` CI gate enforces that).
+        // environment (nothing in the suite may call `set_var`;
+        // `nblint`'s `cfg-env` rule enforces that).
         let vars = |shards: Option<&str>, span: Option<&str>| {
             let (shards, span) = (shards.map(String::from), span.map(String::from));
             SuiteConfig::from_lookup(move |name| match name {

@@ -462,7 +462,7 @@ fn range_base_limit(range: u64, r: u64) -> u64 {
 /// Each worker pre-generates its key and op-kind streams and sets up its
 /// buffers **before** the timing barrier; the measured loop only indexes
 /// the streams, calls the map, and bumps plain `u64` latency buckets —
-/// no RNG, no allocation, no atomics (the `cfgcheck` hot-loop gate
+/// no RNG, no allocation, no atomics (`nblint`'s `cfg-hotloop` rule
 /// enforces this region stays that way). Per-op latency lands in
 /// per-worker [`OpHistograms`] merged after the join.
 ///
