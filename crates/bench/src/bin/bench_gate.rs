@@ -1,12 +1,12 @@
 //! The CI throughput gate: compares two labeled runs inside one bench
-//! artifact (written by `bench_fig8` / `bench_range`, which label-merge)
+//! artifact (written by `sweep`, which label-merges)
 //! and exits non-zero when any *(structure, mix, threads)* point slowed
 //! down by more than the tolerance — or, with `--p99-tolerance`, when a
 //! point's p99 latency grew past the tail tolerance.
 //!
 //! ```text
-//! cargo run -p bench --bin bench_fig8 -- --label baseline --out gate.json   # at the base ref
-//! cargo run -p bench --bin bench_fig8 -- --label pr       --out gate.json   # at the PR head
+//! cargo run -p bench --bin sweep -- fig8 --label baseline --out gate.json   # at the base ref
+//! cargo run -p bench --bin sweep -- fig8 --label pr       --out gate.json   # at the PR head
 //! cargo run -p bench --bin bench_gate -- --file gate.json --baseline baseline --candidate pr \
 //!     --p99-tolerance 1.0 --summary summary.md
 //! ```

@@ -10,7 +10,7 @@
 //! Paper-scale: `NBTREE_BENCH_FULL=1 cargo run --release -p bench --bin figure8`
 
 use bench::{bench_threads, key_ranges, print_row, trial_duration, trials};
-use workload::{measure, thread_counts, Mix, SuiteConfig, ALL_MAPS};
+use workload::{measure, Mix, SuiteConfig, ALL_MAPS};
 
 fn main() {
     let duration = trial_duration();
@@ -22,13 +22,14 @@ fn main() {
     let base_cfg = SuiteConfig::from_env();
     // Host-derived sweep, overridable via NBTREE_BENCH_THREADS (the CI
     // bench-smoke job pins it to `1,2` to stay within its budget).
-    let threads = bench_threads(&thread_counts());
+    let threads = bench_threads(None);
+    let ranges = key_ranges();
     println!(
         "# Figure 8: throughput (Mops/s); {} trial(s) x {:?} per cell; host threads {:?}",
         n_trials, duration, threads
     );
     for mix in Mix::ALL {
-        for range in key_ranges() {
+        for &range in &ranges {
             let cfg = base_cfg.for_key_range(range);
             println!("\n## mix {} key range [0,{})", mix.label(), range);
             print_row(
@@ -44,7 +45,7 @@ fn main() {
                 let cells: Vec<String> = threads
                     .iter()
                     .map(|&t| {
-                        let (mops, _) = measure(name, &cfg, t, mix, range, duration, n_trials, 42);
+                        let (mops, _) = measure(name, &cfg, t, mix, range, duration, n_trials);
                         format!("{mops:.3}")
                     })
                     .collect();

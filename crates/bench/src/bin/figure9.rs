@@ -77,7 +77,7 @@ fn main() {
             .iter()
             .zip(&baselines)
             .map(|(&m, &base)| {
-                let (mops, _) = measure(name, &cfg, 1, m, range, duration, n_trials, 42);
+                let (mops, _) = measure(name, &cfg, 1, m, range, duration, n_trials);
                 format!("{:.2}x", mops / base)
             })
             .collect();

@@ -147,8 +147,8 @@ struct RowInfo {
 fn row_info(run: &Json, result: &Json) -> Option<RowInfo> {
     let mix = result.get("mix")?.as_str()?;
     let threads = result.get("threads")?.as_f64()?;
-    // The structure lives per-run in bench_fig8 and per-result in
-    // bench_range (which can sweep several structures in one run).
+    // The structure lives per-run in the fig8 artifact and per-result in
+    // the others (which sweep several structures in one run).
     let structure = result
         .get("structure")
         .or_else(|| run.get("structure"))
@@ -350,7 +350,7 @@ mod tests {
     }
 
     /// A doc whose result rows carry their own structure and thread
-    /// count (the bench_range shape), for exercising report ordering.
+    /// count (the multi-structure shape), for exercising report ordering.
     fn doc_multi(rows: &[(&str, &str, f64)]) -> Json {
         let results = Json::Arr(
             rows.iter()

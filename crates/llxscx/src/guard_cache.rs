@@ -132,25 +132,29 @@ pub fn flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Drives `call` until `flag` is set or a 20 s deadline passes: the
+    /// repins inside `with_guard` must eventually run the deferred store,
+    /// however long another test's thread stays descheduled while pinned.
+    fn repin_until(flag: &AtomicBool, call: impl Fn()) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        // SEQCST: test-only; SC keeps the interleaving argument trivial.
+        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+            call();
+        }
+    }
 
     #[test]
     fn cached_guard_spans_calls_and_repins() {
-        // Warm the cache, then verify a value deferred under one call is
-        // not executed while the cache is warm but is executed after enough
-        // calls to cross a repin boundary (plus collection passes).
-        use std::sync::atomic::{AtomicBool, Ordering};
+        // A value deferred under one call is executed by the collection
+        // pass of a later call's repin — no explicit `flush` needed.
         static RAN: AtomicBool = AtomicBool::new(false);
         // SAFETY: the deferred closure only touches a `'static` atomic.
         // SEQCST: test-only; SC keeps the interleaving argument trivial.
         with_guard(|g| unsafe { g.defer_unchecked(|| RAN.store(true, Ordering::SeqCst)) });
-        for _ in 0..(REPIN_OPS * 8) {
-            with_guard(|_| ());
-        }
-        flush();
-        // Other test threads may be pinned; drive a few extra collections.
-        for _ in 0..64 {
-            flush();
-        }
+        repin_until(&RAN, || with_guard(|_| ()));
         // SEQCST: test-only; SC keeps the interleaving argument trivial.
         assert!(RAN.load(Ordering::SeqCst));
     }
@@ -163,27 +167,18 @@ mod tests {
 
     #[test]
     fn weighted_calls_advance_the_repin_cadence() {
-        // Garbage deferred under a weighted call must be reclaimed after a
-        // handful of further weighted calls: a weight-64 batch counts as 64
-        // operations, so two batches cross the repin boundary — whereas 8
-        // *unweighted* calls would leave the cadence counter at 8 and the
-        // cached pin warm. (The actual free also needs the global epoch to
-        // advance twice, hence the trailing flush loop, same as the
-        // unweighted test above.)
-        use std::sync::atomic::{AtomicBool, Ordering};
+        // Garbage deferred under a weighted call is reclaimed by further
+        // weighted calls alone: a weight-64 batch counts as 64 operations,
+        // so every call crosses the repin boundary and runs a collection
+        // pass, whereas unweighted calls would keep the cached pin warm
+        // for 64 calls at a time.
         static RAN_W: AtomicBool = AtomicBool::new(false);
         // SAFETY: the deferred closure only touches a `'static` atomic.
         with_guard_weighted(REPIN_OPS, |g| unsafe {
             // SEQCST: test-only; SC keeps the interleaving argument trivial.
             g.defer_unchecked(|| RAN_W.store(true, Ordering::SeqCst))
         });
-        for _ in 0..8 {
-            with_guard_weighted(REPIN_OPS, |_| ());
-        }
-        flush();
-        for _ in 0..64 {
-            flush();
-        }
+        repin_until(&RAN_W, || with_guard_weighted(REPIN_OPS, |_| ()));
         // SEQCST: test-only; SC keeps the interleaving argument trivial.
         assert!(RAN_W.load(Ordering::SeqCst));
     }

@@ -614,8 +614,9 @@ pub fn run_trial(
 /// mean Mops/s together with the individual results. Maps are built
 /// exclusively through `make_map(name, cfg)`, so the caller's
 /// [`SuiteConfig`] — not the environment at call time — determines how
-/// the `"sharded"` entry is sized.
-#[allow(clippy::too_many_arguments)] // ALLOW: bench entry point mirrors the suite-config axes one-to-one
+/// the `"sharded"` entry is sized. Trial `t` prefills from seed `42 + t`
+/// and runs from seed `1042 + t`, so every caller measures the same key
+/// streams.
 pub fn measure(
     name: &str,
     cfg: &SuiteConfig,
@@ -624,8 +625,8 @@ pub fn measure(
     range: u64,
     duration: Duration,
     trials: usize,
-    seed: u64,
 ) -> (f64, Vec<TrialResult>) {
+    let seed = 42;
     let mut results = Vec::with_capacity(trials);
     for t in 0..trials {
         let map = make_map(name, cfg).unwrap_or_else(|| panic!("unknown map {name}"));
@@ -642,27 +643,6 @@ pub fn measure(
     }
     let mean = results.iter().map(|r| r.mops()).sum::<f64>() / results.len() as f64;
     (mean, results)
-}
-
-/// The thread counts to sweep on this host, mirroring the paper's
-/// {1, 32, 64, 96, 128} scaled to the available parallelism.
-pub fn thread_counts() -> Vec<usize> {
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut counts = if max <= 2 {
-        // Few-core host: sweep oversubscription instead. Parallel speedup
-        // cannot manifest, but the blocking-vs-non-blocking contrast does:
-        // preempted lock holders stall lock-based structures while the
-        // non-blocking ones keep making progress through helping.
-        vec![1, 2, 4, 8]
-    } else {
-        vec![1, max / 4, max / 2, (3 * max) / 4, max]
-    };
-    counts.retain(|&c| c >= 1);
-    counts.sort_unstable();
-    counts.dedup();
-    counts
 }
 
 /// Sanity helper shared by tests: applies `ops` scripted operations to a
@@ -1061,13 +1041,5 @@ mod tests {
                 ops_pct: 90,
             },
         );
-    }
-
-    #[test]
-    fn thread_counts_sane() {
-        let c = thread_counts();
-        assert!(!c.is_empty());
-        assert_eq!(c[0], 1);
-        assert!(c.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -23,7 +23,6 @@ fn main() {
             range,
             Duration::from_millis(500),
             1,
-            42,
         );
         println!("  {name:<12} {mops:>8.3} Mops/s");
     }
