@@ -184,7 +184,7 @@ where
                 // it.
                 let mut path: Vec<PathEntry<'_, K, V>> = Vec::with_capacity(32);
                 path.push(PathEntry {
-                    node: self.entry(guard),
+                    node: self.shell.entry(guard),
                     hi: None,
                 });
                 // Elements below `fallback_until` skip run merging: after a
@@ -421,7 +421,7 @@ where
             llxscx::guard_cache::with_guard_weighted(weight, |guard| {
                 let mut path: Vec<PathEntry<'_, K, V>> = Vec::with_capacity(32);
                 path.push(PathEntry {
-                    node: self.entry(guard),
+                    node: self.shell.entry(guard),
                     hi: None,
                 });
                 // As in `insert_bulk`: after a merged SCX loses, the pair

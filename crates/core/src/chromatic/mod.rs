@@ -18,19 +18,11 @@ mod update;
 pub use audit::AuditReport;
 pub use stats::Stats;
 
-use std::sync::atomic::Ordering;
-
-use llxscx::epoch::{Atomic, Guard, Shared};
+use llxscx::epoch::{Guard, Shared};
 use llxscx::with_guard;
 
+use crate::leaf_tree::{LeafTree, SearchPath};
 use crate::node::Node;
-
-/// Whether event tracing (`NBTREE_TRACE=1`) is enabled; cached per process.
-/// Diagnostic aid for debugging rare concurrent interleavings.
-pub(crate) fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("NBTREE_TRACE").is_ok())
-}
 
 /// A concurrent, non-blocking ordered dictionary backed by a chromatic tree.
 ///
@@ -54,21 +46,14 @@ pub(crate) fn trace_enabled() -> bool {
 /// assert_eq!(tree.get(&3), None);
 /// ```
 pub struct ChromaticTree<K: Send + Sync + 'static, V: Send + Sync + 'static> {
-    /// The `entry` Data-record (paper Fig. 10): key `∞`, weight 1, never
-    /// removed. Its left child is the second sentinel (or, when the
-    /// dictionary is empty, a single `∞` leaf); its right child is unused.
-    pub(crate) entry: Atomic<Node<K, V>>,
+    /// The sentinels (weight 1, paper Fig. 10) and the read-side API.
+    pub(crate) shell: LeafTree<K, V>,
     /// Invoke `Cleanup` only when the number of violations seen on the
     /// update's search path (plus the one it created) exceeds this bound
     /// (§5.6). `0` is the paper's plain "Chromatic"; `6` is "Chromatic6".
     pub(crate) allowed_violations: u32,
     pub(crate) stats: Stats,
 }
-
-// SAFETY: all shared mutable state is accessed through atomics/epoch guards.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for ChromaticTree<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for ChromaticTree<K, V> {}
 
 /// The result of a search: the grandparent, parent and leaf on the search
 /// path (grandparent is null when the tree is empty — the leaf's parent is
@@ -98,13 +83,8 @@ where
     /// "Chromatic6" is `k = 6`; larger `k` trades search depth for fewer
     /// rebalancing steps, giving height `O(k + c + log n)`.
     pub fn with_allowed_violations(k: u32) -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // Fig. 10(a): entry(∞, w=1) with a single ∞ leaf as its left child.
-        let leaf = Node::leaf(None, None, 1).into_shared(guard);
-        let entry = Node::internal(None, 1, leaf, Shared::null());
         ChromaticTree {
-            entry: Atomic::from(entry),
+            shell: LeafTree::new(1),
             allowed_violations: k,
             stats: Stats::new(),
         }
@@ -116,83 +96,35 @@ where
         &self.stats
     }
 
-    /// Memory-ordering audit: `Acquire` — the entry pointer is written once
-    /// at construction and never changes; the acquiring load only needs to
-    /// see the sentinel nodes' initialization (release-published when the
-    /// tree was handed to other threads), same argument as
-    /// [`Node::read_child`].
-    #[inline]
-    pub(crate) fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        self.entry.load(Ordering::Acquire, guard)
-    }
-
-    /// The paper's `Search(key)` (Fig. 5): pure reads from `entry` down to a
-    /// leaf, remembering the last three nodes. Also tallies violations on
-    /// the path for the `allowed_violations` policy.
-    ///
-    /// `#[inline]`: this loop is the whole read path and most of every
-    /// update path; inlining it into `get`/`insert`/`remove` lets the
-    /// compiler keep the probe key and the three path pointers in registers.
+    /// The update path's search: the shell's `Search(key)`, tallying
+    /// violations on the path for the `allowed_violations` policy.
     #[inline]
     pub(crate) fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchResult<'g, K, V> {
-        let mut gp = Shared::null();
-        let mut p = self.entry(guard);
-        // SAFETY: entry is never removed.
-        let mut leaf = unsafe { p.deref() }.read_child(0, guard);
-        let mut violations = 0u32;
-        loop {
-            // SAFETY: reached by child pointers under `guard` (property C3).
-            let leaf_ref = unsafe { leaf.deref() };
-            // SAFETY: `p` was `leaf`'s parent on this search path; same liveness
-            // argument as `leaf` (C3 under `guard`).
-            let p_ref = unsafe { p.deref() };
-            if leaf_ref.weight() > 1 {
-                violations += leaf_ref.weight() - 1;
-            } else if leaf_ref.weight() == 0 && p_ref.weight() == 0 {
-                violations += 1;
+        let mut violations_seen = 0u32;
+        let SearchPath { gp, p, leaf } = self.shell.search_with(key, guard, |p, l| {
+            if l.weight() > 1 {
+                violations_seen += l.weight() - 1;
+            } else if l.weight() == 0 && p.weight() == 0 {
+                violations_seen += 1;
             }
-            if leaf_ref.is_leaf(guard) {
-                return SearchResult {
-                    gp,
-                    p,
-                    leaf,
-                    violations_seen: violations,
-                };
-            }
-            gp = p;
-            p = leaf;
-            let dir = if leaf_ref.route_left(key) { 0 } else { 1 };
-            leaf = leaf_ref.read_child(dir, guard);
+        });
+        SearchResult {
+            gp,
+            p,
+            leaf,
+            violations_seen,
         }
     }
 
-    /// Returns the value associated with `key`, if present.
-    ///
-    /// Uses only plain reads (no LLX), exactly like a sequential BST search;
-    /// correctness under concurrency is the paper's property C3 (§5.4).
-    /// Runs under the amortized cached guard ([`llxscx::with_guard`]), so
-    /// the epoch pin costs a thread-local re-entry rather than global
-    /// atomics — the paper's "searches perform no synchronization" design.
+    /// Returns the value associated with `key`, if present. Plain reads
+    /// only (property C3, §5.4); see [`LeafTree::get`].
     pub fn get(&self, key: &K) -> Option<V> {
-        with_guard(|guard| {
-            let res = self.search(key, guard);
-            // SAFETY: see search.
-            let leaf = unsafe { res.leaf.deref() };
-            if leaf.key_eq(key) {
-                leaf.value().cloned()
-            } else {
-                None
-            }
-        })
+        self.shell.get(key)
     }
 
     /// Whether the dictionary contains `key`.
     pub fn contains_key(&self, key: &K) -> bool {
-        with_guard(|guard| {
-            let res = self.search(key, guard);
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            unsafe { res.leaf.deref() }.key_eq(key)
-        })
+        self.shell.contains_key(key)
     }
 
     /// Associates `value` with `key`; returns the previously associated
@@ -210,25 +142,7 @@ where
             });
             match attempt {
                 Ok((old, created_violation, violations_seen)) => {
-                    if trace_enabled() {
-                        eprintln!(
-                            "[{:?}] INSERT committed viol={}",
-                            std::thread::current().id(),
-                            created_violation
-                        );
-                    }
-                    if created_violation {
-                        self.stats.bump_violations_created();
-                        if violations_seen + 1 > self.allowed_violations {
-                            self.cleanup(&key);
-                            if trace_enabled() {
-                                eprintln!(
-                                    "[{:?}] INSERT cleanup done",
-                                    std::thread::current().id()
-                                );
-                            }
-                        }
-                    }
+                    self.after_update(&key, created_violation, violations_seen);
                     return old;
                 }
                 Err(()) => self.stats.bump_insert_retries(),
@@ -248,25 +162,7 @@ where
             });
             match attempt {
                 Ok((old, created_violation, violations_seen)) => {
-                    if trace_enabled() {
-                        eprintln!(
-                            "[{:?}] DELETE committed viol={}",
-                            std::thread::current().id(),
-                            created_violation
-                        );
-                    }
-                    if created_violation {
-                        self.stats.bump_violations_created();
-                        if violations_seen + 1 > self.allowed_violations {
-                            self.cleanup(key);
-                            if trace_enabled() {
-                                eprintln!(
-                                    "[{:?}] DELETE cleanup done",
-                                    std::thread::current().id()
-                                );
-                            }
-                        }
-                    }
+                    self.after_update(key, created_violation, violations_seen);
                     return old;
                 }
                 Err(()) => self.stats.bump_delete_retries(),
@@ -274,39 +170,26 @@ where
         }
     }
 
-    /// Number of keys. Takes a traversal snapshot (O(n)); not linearizable
-    /// with respect to concurrent updates, like size in most concurrent maps.
-    pub fn len(&self) -> usize {
-        with_guard(|guard| {
-            let mut count = 0usize;
-            let mut stack = vec![self.entry(guard)];
-            while let Some(n) = stack.pop() {
-                if n.is_null() {
-                    continue;
-                }
-                // SAFETY: reached from entry under `guard`.
-                let node = unsafe { n.deref() };
-                if node.is_leaf(guard) {
-                    if !node.is_sentinel_key() {
-                        count += 1;
-                    }
-                } else {
-                    stack.push(node.read_child(0, guard));
-                    stack.push(node.read_child(1, guard));
-                }
+    /// The `allowed_violations` policy after a committed update: clean up
+    /// along `key`'s path once the update's new violation tips the count
+    /// seen on its search path over the threshold.
+    fn after_update(&self, key: &K, created_violation: bool, violations_seen: u32) {
+        if created_violation {
+            self.stats.bump_violations_created();
+            if violations_seen + 1 > self.allowed_violations {
+                self.cleanup(key);
             }
-            count
-        })
+        }
     }
 
-    /// Whether the dictionary is empty (same caveats as [`len`](Self::len)).
+    /// Number of keys (O(n) traversal snapshot); see [`LeafTree::len`].
+    pub fn len(&self) -> usize {
+        self.shell.len()
+    }
+
+    /// Whether the dictionary is empty (O(1)).
     pub fn is_empty(&self) -> bool {
-        with_guard(|guard| {
-            // SAFETY: the entry sentinel is never reclaimed.
-            let entry = unsafe { self.entry(guard).deref() };
-            // SAFETY: the entry is internal, so its left child is non-null (C2).
-            unsafe { entry.read_child(0, guard).deref() }.is_leaf(guard)
-        })
+        self.shell.is_empty()
     }
 
     /// A sorted snapshot of all key/value pairs, by in-order traversal.
@@ -314,27 +197,7 @@ where
     /// is individually linearizable; use [`successor`](Self::successor) for
     /// atomic adjacent-pair queries).
     pub fn collect(&self) -> Vec<(K, V)> {
-        with_guard(|guard| {
-            let mut out = Vec::new();
-            self.collect_rec(self.entry(guard), &mut out, guard);
-            out
-        })
-    }
-
-    fn collect_rec<'g>(&self, n: Shared<'g, Node<K, V>>, out: &mut Vec<(K, V)>, guard: &'g Guard) {
-        if n.is_null() {
-            return;
-        }
-        // SAFETY: `n` is non-null (checked above) and reached under `guard`.
-        let node = unsafe { n.deref() };
-        if node.is_leaf(guard) {
-            if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                out.push((k.clone(), v.clone()));
-            }
-        } else {
-            self.collect_rec(node.read_child(0, guard), out, guard);
-            self.collect_rec(node.read_child(1, guard), out, guard);
-        }
+        self.shell.collect()
     }
 }
 
@@ -345,30 +208,5 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for ChromaticTree<K, V> {
-    fn drop(&mut self) {
-        // Exclusive access: free every node still in the tree. Descriptors
-        // are released transitively by their reference counts.
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
-        // unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
-        let mut stack = vec![self.entry.load(Ordering::SeqCst, guard)];
-        while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access; every node reachable exactly once
-            // (down-tree, indegree 1).
-            unsafe {
-                let node = n.deref();
-                stack.push(node.read_child(0, guard));
-                stack.push(node.read_child(1, guard));
-                llxscx::reclaim::dispose_record(n.as_raw());
-            }
-        }
     }
 }

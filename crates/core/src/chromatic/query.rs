@@ -14,7 +14,6 @@ use llxscx::{llx, vlx, with_guard, Llx, LlxHandle};
 
 use super::ChromaticTree;
 use crate::node::Node;
-use crate::range::try_range_scan;
 
 type H<'g, K, V> = LlxHandle<'g, Node<K, V>>;
 
@@ -55,7 +54,7 @@ where
     /// right subtree); `d = 1` the predecessor (mirror).
     fn try_adjacent<'g>(&self, key: &K, d: usize, guard: &'g Guard) -> Attempt<Option<(K, V)>> {
         let o = 1 - d;
-        let entry = self.entry(guard);
+        let entry = self.shell.entry(guard);
         // Path of handles from the last `d`-side turn down to the current
         // node; the final VLX validates exactly the region connecting the
         // two adjacent leaves.
@@ -166,15 +165,8 @@ where
     /// ```
     pub fn range<B: RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
         self.stats.bump_range_queries();
-        loop {
-            // One attempt per cached-guard entry, like the update paths: a
-            // retry storm still lets the epoch advance at repin intervals.
-            if let Some(out) = with_guard(|guard| try_range_scan(self.entry(guard), &bounds, guard))
-            {
-                return out;
-            }
-            self.stats.bump_range_retries();
-        }
+        self.shell
+            .range_with(bounds, || self.stats.bump_range_retries())
     }
 
     /// Like [`range`](Self::range) but gives up after `attempts` failed
@@ -197,14 +189,8 @@ where
         attempts: usize,
     ) -> Option<Vec<(K, V)>> {
         self.stats.bump_range_queries();
-        for _ in 0..attempts {
-            if let Some(out) = with_guard(|guard| try_range_scan(self.entry(guard), &bounds, guard))
-            {
-                return Some(out);
-            }
-            self.stats.bump_range_retries();
-        }
-        None
+        self.shell
+            .range_attempts(&bounds, attempts, || self.stats.bump_range_retries())
     }
 
     /// The smallest key (and value), or `None` when empty. Implemented as
@@ -232,7 +218,7 @@ where
         // Descend always to side `d` inside the chromatic tree; sentinels
         // force the first two hops left.
         let mut path: Vec<H<'g, K, V>> = Vec::with_capacity(32);
-        let mut cur = self.entry(guard);
+        let mut cur = self.shell.entry(guard);
         let leaf = loop {
             let h = match llx(cur, guard) {
                 Llx::Snapshot(h) => h,

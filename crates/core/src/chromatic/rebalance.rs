@@ -54,7 +54,7 @@ where
                 let mut gp: Shared<'_, Node<K, V>> = Shared::null();
                 let mut p: Shared<'_, Node<K, V>> = Shared::null();
                 let mut ggp: Shared<'_, Node<K, V>> = Shared::null();
-                let mut l = self.entry(guard);
+                let mut l = self.shell.entry(guard);
                 loop {
                     // SAFETY: reached from entry under `guard` (property C3).
                     let l_ref = unsafe { l.deref() };
@@ -393,16 +393,6 @@ where
         );
         if ok {
             self.stats.bump_step(step);
-            if crate::chromatic::trace_enabled() {
-                eprintln!(
-                    "[{:?}] STEP {:?} u.w={} ux.w={} vlen={}",
-                    std::thread::current().id(),
-                    step,
-                    hu.node_ref().weight(),
-                    hux.node_ref().weight(),
-                    v.len()
-                );
-            }
         } else {
             for &n in created {
                 // SAFETY: never published (the SCX failed before the update

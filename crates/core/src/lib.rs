@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod chromatic;
+pub mod leaf_tree;
 pub mod node;
 pub mod range;
 pub mod template;

@@ -90,7 +90,7 @@ fn may_contain_at_or_above<K: Ord, B: RangeBounds<K>>(bounds: &B, k: &K) -> bool
 /// assert_eq!(try_range_scan(entry, &(..10u64), guard).unwrap(), vec![]);
 /// ```
 ///
-/// (`ChromaticTree::range` wraps this in the retry loop; the example
+/// (`LeafTree::range_with` wraps this in the retry loop; the example
 /// leaks its six nodes, which is fine for a doctest process.)
 pub fn try_range_scan<'g, K, V, B>(
     entry: Shared<'g, Node<K, V>>,

@@ -12,7 +12,9 @@
 //! query-heavy workloads scale with threads, update-heavy workloads flatten
 //! or regress as writers queue on the lock — without reproducing Bronson's
 //! intricate optimistic hand-over-hand validation, which is itself a
-//! paper-sized artifact. Substitution documented in DESIGN.md.
+//! paper-sized artifact. That substitution is the whole difference from
+//! the paper's baselines: absolute numbers are not comparable to AVL-B/D,
+//! only the scaling shape is.
 
 #![warn(missing_docs)]
 

@@ -17,32 +17,20 @@
 
 #![warn(missing_docs)]
 
-use llxscx::epoch::{Atomic, Guard, Shared};
 use llxscx::guard_cache::with_guard;
+use nbtree::leaf_tree::{LeafTree, SearchPath};
 use nbtree::node::Node;
 use nbtree::{tree_update, TemplateStep};
-use std::sync::atomic::Ordering;
 
 /// A lock-free unbalanced leaf-oriented BST (ordered map).
 ///
-/// Same sentinel layout as the chromatic tree (paper Fig. 10), same
-/// leaf-oriented updates (Insert1/Insert2/Delete of Fig. 11), but no
-/// weights are maintained and no rebalancing is performed.
+/// Same sentinel layout as the chromatic tree (paper Fig. 10, held by the
+/// shared [`LeafTree`] shell), same leaf-oriented updates
+/// (Insert1/Insert2/Delete of Fig. 11), but no weights are maintained and
+/// no rebalancing is performed.
 pub struct NbBst<K: Send + Sync + 'static, V: Send + Sync + 'static> {
-    entry: Atomic<Node<K, V>>,
+    shell: LeafTree<K, V>,
 }
-
-// SAFETY: all shared mutable state behind atomics/epoch guards.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for NbBst<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for NbBst<K, V> {}
-
-/// (grandparent, parent, leaf) triple returned by the pure-read search.
-type SearchPath<'g, K, V> = (
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-);
 
 impl<K, V> NbBst<K, V>
 where
@@ -51,61 +39,19 @@ where
 {
     /// An empty tree.
     pub fn new() -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        let leaf = Node::leaf(None, None, 1).into_shared(guard);
         NbBst {
-            entry: Atomic::from(Node::internal(None, 1, leaf, Shared::null())),
-        }
-    }
-
-    fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        // SEQCST: entry pointer participates in the SCX total order.
-        self.entry.load(Ordering::SeqCst, guard)
-    }
-
-    /// Pure-read search; returns (grandparent, parent, leaf) on `key`'s
-    /// search path (grandparent null when the tree is empty).
-    fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchPath<'g, K, V> {
-        let mut gp = Shared::null();
-        let mut p = self.entry(guard);
-        // SAFETY: entry never removed; children reached under guard (C3).
-        let mut l = unsafe { p.deref() }.read_child(0, guard);
-        loop {
-            // SAFETY: children of a live internal node are non-null (leaf-oriented
-            // tree) and reachable under `guard`.
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf(guard) {
-                return (gp, p, l);
-            }
-            gp = p;
-            p = l;
-            let dir = if l_ref.route_left(key) { 0 } else { 1 };
-            l = l_ref.read_child(dir, guard);
+            shell: LeafTree::new(1),
         }
     }
 
     /// Value associated with `key`, using only plain reads.
     pub fn get(&self, key: &K) -> Option<V> {
-        with_guard(|guard| {
-            let (_, _, l) = self.search(key, guard);
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            let leaf = unsafe { l.deref() };
-            if leaf.key_eq(key) {
-                leaf.value().cloned()
-            } else {
-                None
-            }
-        })
+        self.shell.get(key)
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        with_guard(|guard| {
-            let (_, _, l) = self.search(key, guard);
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            unsafe { l.deref() }.key_eq(key)
-        })
+        self.shell.contains_key(key)
     }
 
     /// Inserts `key → value`; returns the previous value, if any.
@@ -115,7 +61,7 @@ where
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         loop {
             let outcome = with_guard(|guard| {
-                let (_, p, l) = self.search(&key, guard);
+                let SearchPath { p, leaf: l, .. } = self.shell.search(&key, guard);
                 tree_update(p, guard, |handles| match handles.len() {
                     1 => {
                         let hp = &handles[0];
@@ -175,8 +121,8 @@ where
     pub fn remove(&self, key: &K) -> Option<V> {
         loop {
             let done = with_guard(|guard| {
-                let (gp, p, l) = self.search(key, guard);
-                // SAFETY: see search.
+                let SearchPath { gp, p, leaf: l } = self.shell.search(key, guard);
+                // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
                 if !unsafe { l.deref() }.key_eq(key) {
                     return Some(None); // linearizes like a query
                 }
@@ -243,73 +189,24 @@ where
     }
 
     /// All pairs with keys in `bounds`, sorted — an atomic snapshot,
-    /// VLX-validated by the shared scan of [`nbtree::range`] (the template
-    /// trees share their node layout, so the chromatic tree's range
-    /// machinery applies verbatim; only the entry pointer differs).
+    /// VLX-validated by the shared scan of [`nbtree::range`].
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        loop {
-            let out = with_guard(|guard| nbtree::try_range_scan(self.entry(guard), &bounds, guard));
-            if let Some(out) = out {
-                return out;
-            }
-        }
+        self.shell.range_with(bounds, || {})
     }
 
     /// Number of keys (O(n) traversal snapshot).
     pub fn len(&self) -> usize {
-        with_guard(|guard| {
-            let mut count = 0;
-            let mut stack = vec![self.entry(guard)];
-            while let Some(n) = stack.pop() {
-                if n.is_null() {
-                    continue;
-                }
-                // SAFETY: `n` is non-null (checked above) and reached under `guard`.
-                let node = unsafe { n.deref() };
-                if node.is_leaf(guard) {
-                    if !node.is_sentinel_key() {
-                        count += 1;
-                    }
-                } else {
-                    stack.push(node.read_child(0, guard));
-                    stack.push(node.read_child(1, guard));
-                }
-            }
-            count
-        })
+        self.shell.len()
     }
 
-    /// Whether the map is empty.
+    /// Whether the map is empty (O(1)).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.shell.is_empty()
     }
 
     /// Sorted snapshot of the contents.
     pub fn collect(&self) -> Vec<(K, V)> {
-        fn rec<K: Ord + Clone + Send + Sync + 'static, V: Clone + Send + Sync + 'static>(
-            n: Shared<'_, Node<K, V>>,
-            out: &mut Vec<(K, V)>,
-            guard: &Guard,
-        ) {
-            if n.is_null() {
-                return;
-            }
-            // SAFETY: `n` is non-null (checked above) and reached under `guard`.
-            let node = unsafe { n.deref() };
-            if node.is_leaf(guard) {
-                if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                    out.push((k.clone(), v.clone()));
-                }
-            } else {
-                rec(node.read_child(0, guard), out, guard);
-                rec(node.read_child(1, guard), out, guard);
-            }
-        }
-        with_guard(|guard| {
-            let mut out = Vec::new();
-            rec(self.entry(guard), &mut out, guard);
-            out
-        })
+        self.shell.collect()
     }
 }
 
@@ -320,28 +217,6 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for NbBst<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
-        // unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
-        let mut stack = vec![self.entry.load(Ordering::SeqCst, guard)];
-        while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access in Drop; down-tree ⇒ each node once.
-            unsafe {
-                let node = n.deref();
-                stack.push(node.read_child(0, guard));
-                stack.push(node.read_child(1, guard));
-                llxscx::reclaim::dispose_record(n.as_raw());
-            }
-        }
     }
 }
 

@@ -9,42 +9,30 @@
 //! rank refreshes and single/double rotations — repair staleness and
 //! imbalance afterwards, interleaving freely with other operations.
 //!
-//! Differences from Larsen's calculus (documented in DESIGN.md): rebalancing
-//! here is *best-effort with a bounded number of repair passes per update*
-//! rather than amortized O(log n) steps with a proven convergence bound.
+//! The difference from Larsen's calculus: rebalancing here is *best-effort
+//! with a bounded number of repair passes per update* rather than amortized
+//! O(log n) steps with a proven convergence bound.
 //! Dictionary semantics are exact regardless — they come from the template,
 //! which guarantees linearizability and lock-freedom independently of any
 //! balancing decisions; ranks only steer rotations.
 
 #![warn(missing_docs)]
 
-use llxscx::epoch::{Atomic, Guard, Shared};
+use llxscx::epoch::{Guard, Shared};
 use llxscx::guard_cache::with_guard;
 use llxscx::{llx, scx, Llx, LlxHandle, ScxArgs};
+use nbtree::leaf_tree::{LeafTree, SearchPath};
 use nbtree::node::Node;
-use std::sync::atomic::Ordering;
 
 type H<'g, K, V> = LlxHandle<'g, Node<K, V>>;
 
 /// A lock-free ordered map: leaf-oriented BST with relaxed AVL-style
-/// rebalancing. The node type is shared with the chromatic tree; its
-/// `weight` field stores the *rank* here.
+/// rebalancing. The node type and sentinel shell ([`LeafTree`]) are shared
+/// with the chromatic tree; the `weight` field stores the *rank* here, and
+/// the sentinels have rank 0.
 pub struct RelaxedAvl<K: Send + Sync + 'static, V: Send + Sync + 'static> {
-    entry: Atomic<Node<K, V>>,
+    shell: LeafTree<K, V>,
 }
-
-// SAFETY: all shared state lives behind epoch-managed `Atomic` links; the
-// `K: Send + Sync` / `V: Send + Sync` bounds cover the payloads.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for RelaxedAvl<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for RelaxedAvl<K, V> {}
-
-/// (grandparent, parent, leaf) triple returned by the pure-read search.
-type SearchPath<'g, K, V> = (
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-);
 
 /// Repair passes per update: enough to fix the whole path in quiescence
 /// (ranks only need one pass per level), bounded so no interleaving can
@@ -67,62 +55,26 @@ where
 {
     /// An empty map.
     pub fn new() -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        let leaf = Node::leaf(None, None, 0).into_shared(guard);
         RelaxedAvl {
-            entry: Atomic::from(Node::internal(None, 0, leaf, Shared::null())),
-        }
-    }
-
-    fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        // SEQCST: entry pointer participates in the SCX total order.
-        self.entry.load(Ordering::SeqCst, guard)
-    }
-
-    fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchPath<'g, K, V> {
-        let mut gp = Shared::null();
-        let mut p = self.entry(guard);
-        // SAFETY: entry never removed; traversal under guard (C3).
-        let mut l = unsafe { p.deref() }.read_child(0, guard);
-        loop {
-            // SAFETY: children of a live internal node are non-null (leaf-oriented
-            // tree) and reachable under `guard`.
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf(guard) {
-                return (gp, p, l);
-            }
-            gp = p;
-            p = l;
-            let dir = if l_ref.route_left(key) { 0 } else { 1 };
-            l = l_ref.read_child(dir, guard);
+            shell: LeafTree::new(0),
         }
     }
 
     /// Lookup with plain reads.
     pub fn get(&self, key: &K) -> Option<V> {
-        with_guard(|guard| {
-            let (_, _, l) = self.search(key, guard);
-            // SAFETY: `search` returns a leaf reached under `guard`; never null.
-            let leaf = unsafe { l.deref() };
-            if leaf.key_eq(key) {
-                leaf.value().cloned()
-            } else {
-                None
-            }
-        })
+        self.shell.get(key)
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.shell.contains_key(key)
     }
 
     /// Inserts `key → value`; returns the displaced value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         loop {
             let done = with_guard(|guard| {
-                let (_, p, l) = self.search(&key, guard);
+                let SearchPath { p, leaf: l, .. } = self.shell.search(&key, guard);
                 let hp = llx_ok(p, guard)?;
                 let dir = if hp.left() == l {
                     0
@@ -183,7 +135,7 @@ where
     pub fn remove(&self, key: &K) -> Option<V> {
         loop {
             let done = with_guard(|guard| {
-                let (gp, p, l) = self.search(key, guard);
+                let SearchPath { gp, p, leaf: l } = self.shell.search(key, guard);
                 // SAFETY: `search` returns a leaf reached under `guard`; never null.
                 if !unsafe { l.deref() }.key_eq(key) {
                     return Some((None, false));
@@ -254,7 +206,7 @@ where
     fn repair(&self, key: &K) {
         for _ in 0..MAX_REPAIR_PASSES {
             let fixed = with_guard(|guard| {
-                let mut p = self.entry(guard);
+                let mut p = self.shell.entry(guard);
                 // SAFETY: the entry sentinel is never reclaimed.
                 let mut n = unsafe { p.deref() }.read_child(0, guard);
                 let mut fixed = false;
@@ -413,73 +365,25 @@ where
     }
 
     /// All pairs with keys in `bounds`, sorted — an atomic snapshot via the
-    /// shared VLX-validated scan of [`nbtree::range`] (same node layout and
-    /// sentinel scheme as the chromatic tree; ranks are irrelevant to the
-    /// scan, which only follows routing keys).
+    /// shared VLX-validated scan of [`nbtree::range`] (ranks are irrelevant
+    /// to the scan, which only follows routing keys).
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        loop {
-            let out = with_guard(|guard| nbtree::try_range_scan(self.entry(guard), &bounds, guard));
-            if let Some(out) = out {
-                return out;
-            }
-        }
+        self.shell.range_with(bounds, || {})
     }
 
     /// Number of keys (O(n) snapshot).
     pub fn len(&self) -> usize {
-        with_guard(|guard| {
-            let mut count = 0;
-            let mut stack = vec![self.entry(guard)];
-            while let Some(x) = stack.pop() {
-                if x.is_null() {
-                    continue;
-                }
-                // SAFETY: `x` is non-null (checked above) and reached under `guard`.
-                let node = unsafe { x.deref() };
-                if node.is_leaf(guard) {
-                    if !node.is_sentinel_key() {
-                        count += 1;
-                    }
-                } else {
-                    stack.push(node.read_child(0, guard));
-                    stack.push(node.read_child(1, guard));
-                }
-            }
-            count
-        })
+        self.shell.len()
     }
 
-    /// Whether the map is empty.
+    /// Whether the map is empty (O(1)).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.shell.is_empty()
     }
 
     /// Sorted snapshot of the contents.
     pub fn collect(&self) -> Vec<(K, V)> {
-        fn rec<K: Clone + Send + Sync + 'static, V: Clone + Send + Sync + 'static>(
-            x: Shared<'_, Node<K, V>>,
-            out: &mut Vec<(K, V)>,
-            guard: &Guard,
-        ) {
-            if x.is_null() {
-                return;
-            }
-            // SAFETY: `x` is non-null (checked above) and reached under `guard`.
-            let node = unsafe { x.deref() };
-            if node.is_leaf(guard) {
-                if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                    out.push((k.clone(), v.clone()));
-                }
-            } else {
-                rec(node.read_child(0, guard), out, guard);
-                rec(node.read_child(1, guard), out, guard);
-            }
-        }
-        with_guard(|guard| {
-            let mut out = Vec::new();
-            rec(self.entry(guard), &mut out, guard);
-            out
-        })
+        self.shell.collect()
     }
 
     /// Longest root-to-leaf path (diagnostics).
@@ -498,7 +402,7 @@ where
             }
             1 + rec(node.read_child(0, guard), guard).max(rec(node.read_child(1, guard), guard))
         }
-        with_guard(|guard| rec(self.entry(guard), guard).saturating_sub(2))
+        with_guard(|guard| rec(self.shell.entry(guard), guard).saturating_sub(2))
     }
 }
 
@@ -535,28 +439,6 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for RelaxedAvl<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
-        // unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
-        let mut stack = vec![self.entry.load(Ordering::SeqCst, guard)];
-        while let Some(x) = stack.pop() {
-            if x.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access; each node reachable once.
-            unsafe {
-                let node = x.deref();
-                stack.push(node.read_child(0, guard));
-                stack.push(node.read_child(1, guard));
-                llxscx::reclaim::dispose_record(x.as_raw());
-            }
-        }
     }
 }
 

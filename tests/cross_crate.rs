@@ -389,7 +389,12 @@ fn concurrent_range_scans_hold_weak_properties_on_every_structure() {
                     let lo = (round as u64 * 37) % CHURN_LO;
                     let snap = map.range(lo, CHURN_HI + 100);
                     for w in snap.windows(2) {
-                        assert!(w[0].0 < w[1].0, "{name}: scan not strictly sorted");
+                        assert!(
+                            w[0].0 < w[1].0,
+                            "{name}: scan not strictly sorted: {} then {} (round {round}, lo {lo})",
+                            w[0].0,
+                            w[1].0
+                        );
                     }
                     for (k, _) in &snap {
                         assert!(
