@@ -3,7 +3,8 @@
 
 use std::sync::atomic::Ordering;
 
-use llxscx::epoch::{Atomic, Guard, Owned, Shared};
+use llxscx::epoch::{Atomic, Guard, Shared};
+use llxscx::slab::Fresh;
 use llxscx::{Record, RecordHeader};
 
 /// A node of a leaf-oriented chromatic tree.
@@ -13,11 +14,14 @@ use llxscx::{Record, RecordHeader};
 /// change them replace the node by a fresh copy. `key = None` encodes the
 /// sentinel key `∞`, which is larger than every dictionary key.
 ///
-/// Cache-line aligned: a search touches one node per level, and without
-/// alignment a ~72-byte node (for word-sized keys) straddles two lines,
-/// doubling the miss cost of every hop; alignment also keeps the hot
-/// `info`/`marked` header words of different nodes out of each other's
-/// lines (false sharing under concurrent freezing).
+/// Cache-line aligned, so a node never shares a line with another node and
+/// the hot `info`/`marked` header words of different nodes stay out of
+/// each other's lines (false sharing under concurrent freezing). This is
+/// not one line per node: for word-sized keys the fields take 68 bytes,
+/// so `align(64)` pads a `Node<u64, u64>` to 128 bytes, two lines. As
+/// rustc lays it out, the first line holds key, value, header and
+/// children, all a search hop reads, and the 4-byte `weight` sits alone
+/// in the second.
 #[repr(align(64))]
 pub struct Node<K, V> {
     header: RecordHeader<Self>,
@@ -42,10 +46,10 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Record for Node<K, V> {
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
     /// A leaf holding `key` (or the sentinel `∞` if `None`).
     ///
-    /// Allocated through the thread-local record cache
+    /// Allocated from the record arena through the thread-local cache
     /// ([`llxscx::slab`]): updates replace nodes constantly, and the
-    /// cache turns those aligned allocate/free pairs into pointer pushes.
-    pub fn leaf(key: Option<K>, value: Option<V>, weight: u32) -> Owned<Self> {
+    /// cache turns those allocate/free pairs into pointer pops and pushes.
+    pub fn leaf(key: Option<K>, value: Option<V>, weight: u32) -> Fresh<Self> {
         llxscx::slab::alloc_owned(Node {
             header: RecordHeader::new(),
             children: [Atomic::null(), Atomic::null()],
@@ -65,7 +69,7 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
         weight: u32,
         left: Shared<'_, Self>,
         right: Shared<'_, Self>,
-    ) -> Owned<Self> {
+    ) -> Fresh<Self> {
         let node = Node {
             header: RecordHeader::new(),
             children: [Atomic::null(), Atomic::null()],
@@ -168,6 +172,18 @@ pub fn probe_lt_key<K: Ord>(probe: &K, key: Option<&K>) -> bool {
 mod tests {
     use super::*;
     use llxscx::pin;
+
+    /// Pins the record layouts: a change to either size changes how many
+    /// cache lines every search hop and every SCX touches, so it must be
+    /// deliberate.
+    #[test]
+    fn record_layouts_are_pinned() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(size_of::<Node<u64, u64>>(), 128);
+        assert_eq!(align_of::<Node<u64, u64>>(), 64);
+        assert_eq!(size_of::<llxscx::ScxRecord<Node<u64, u64>>>(), 256);
+        assert_eq!(align_of::<llxscx::ScxRecord<Node<u64, u64>>>(), 128);
+    }
 
     #[test]
     fn sentinel_routing() {

@@ -40,8 +40,9 @@ pub const ABORTED: u8 = 2;
 ///   for why that makes the count exact). Reuse happens exactly where the
 ///   old code called `free`, so it inherits the same safety argument.
 /// * `seq` detects reuse: every checkout bumps the incarnation counter
-///   (a descriptor slot is only ever reused as a descriptor, so the count
-///   survives reuse; a slot fresh from the allocator starts over), and
+///   (descriptor memory is type-stable: a descriptor slot is only ever
+///   reused as a descriptor, on any thread, so the count survives every
+///   reuse; slots are zero-filled when first carved, so it starts at 0), and
 ///   every *published* pointer to the descriptor (the value installed in
 ///   `info` fields) carries `seq` in its alignment tag bits
 ///   (`align(128)` ⇒ 7 bits). A freezing CAS whose expected value names a
@@ -120,35 +121,18 @@ unsafe impl<N: Record> Send for ScxRecord<N> {}
 unsafe impl<N: Record> Sync for ScxRecord<N> {}
 
 impl<N: Record> ScxRecord<N> {
-    /// Checks a quiescent descriptor out of the calling thread's free list,
-    /// allocating a fresh one on a miss, and bumps its incarnation
-    /// counter; the caller must tag every published pointer with the new
-    /// value.
+    /// Checks a quiescent descriptor out of the calling thread's free list
+    /// (refilled from the descriptor arena on a miss) and bumps its
+    /// incarnation counter; the caller must tag every published pointer
+    /// with the new value.
     ///
     /// The returned descriptor has `refs == 0` and is exclusively owned by
     /// the caller until a freezing CAS publishes it.
     pub(crate) fn checkout() -> *mut Self {
-        let d = match slab::take_descriptor(Layout::new::<Self>()) {
-            Some(slot) => slot as *mut Self,
-            None => Box::into_raw(Box::new(ScxRecord {
-                state: AtomicU8::new(ABORTED),
-                all_frozen: AtomicBool::new(false),
-                refs: AtomicUsize::new(0),
-                seq: AtomicUsize::new(0),
-                payload: UnsafeCell::new(ScxPayload {
-                    len: 0,
-                    v: [std::ptr::null(); MAX_V],
-                    info_fields: [0; MAX_V],
-                    finalize_mask: 0,
-                    fld_node: std::ptr::null(),
-                    fld_idx: 0,
-                    old: std::ptr::null(),
-                    new: std::ptr::null(),
-                }),
-            })),
-        };
+        let d = slab::take_descriptor(Layout::new::<Self>()) as *mut Self;
         // SAFETY: the descriptor is quiescent and ours alone; `seq` lies
-        // past the free-list link, so a recycled slot kept its count.
+        // past the free-list link, so a recycled slot kept its count and a
+        // freshly carved one holds zero.
         let seq = unsafe { &(*d).seq };
         seq.store(
             seq.load(Ordering::Relaxed).wrapping_add(1),
@@ -158,7 +142,8 @@ impl<N: Record> ScxRecord<N> {
     }
 
     /// Returns a quiescent descriptor to the calling thread's free list,
-    /// or frees it past [`SLAB_CAP`](crate::slab::SLAB_CAP).
+    /// whose overflow past [`SLAB_CAP`](crate::slab::SLAB_CAP) spills to
+    /// the descriptor arena.
     ///
     /// # Safety
     /// The caller must hold the *last* reference: `refs == 0` and no

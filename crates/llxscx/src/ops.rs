@@ -279,7 +279,8 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
 /// record in between invalidates the set as a whole.
 ///
 /// ```
-/// use llxscx::{llx, scx, vlx, pin, Atomic, Owned, Record, RecordHeader, ScxArgs};
+/// use llxscx::slab::{alloc_owned, Fresh};
+/// use llxscx::{llx, scx, vlx, pin, Atomic, Record, RecordHeader, ScxArgs};
 ///
 /// struct N { header: RecordHeader<N>, kids: [Atomic<N>; 2] }
 /// impl Record for N {
@@ -287,8 +288,8 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
 ///     fn header(&self) -> &RecordHeader<Self> { &self.header }
 ///     fn child(&self, i: usize) -> &Atomic<Self> { &self.kids[i] }
 /// }
-/// fn node() -> Owned<N> {
-///     Owned::new(N { header: RecordHeader::new(), kids: [Atomic::null(), Atomic::null()] })
+/// fn node() -> Fresh<N> {
+///     alloc_owned(N { header: RecordHeader::new(), kids: [Atomic::null(), Atomic::null()] })
 /// }
 ///
 /// let guard = &pin();
@@ -431,7 +432,8 @@ pub(crate) unsafe fn help<N: Record>(desc_s: Shared<'_, ScxRecord<N>>, guard: &G
 mod tests {
     use super::*;
     use crate::record::RecordHeader;
-    use crossbeam_epoch::{pin, Atomic, Owned};
+    use crate::slab::{alloc_owned, Fresh};
+    use crossbeam_epoch::{pin, Atomic};
 
     struct TestNode {
         header: RecordHeader<TestNode>,
@@ -440,8 +442,8 @@ mod tests {
     }
 
     impl TestNode {
-        fn new(key: u64) -> Owned<TestNode> {
-            Owned::new(TestNode {
+        fn new(key: u64) -> Fresh<TestNode> {
+            alloc_owned(TestNode {
                 header: RecordHeader::new(),
                 children: [Atomic::null(), Atomic::null()],
                 key,

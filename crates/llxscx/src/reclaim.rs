@@ -42,18 +42,20 @@
 //! the freezing CAS correctly fails. The compare itself touches no memory
 //! behind the expected pointer, so it is safe even if `A` was reused. The
 //! residual risk is the classic bounded-tag ABA: a spurious match needs the
-//! same record to hold the *same allocation* at a *tag-equal incarnation*
-//! (128 checkouts later) while `B` is still in progress — and an
-//! overflow-freed allocation to be handed back by the allocator at the
-//! same address in that window. This is the trade Brown's "Reuse, don't
+//! same record to hold the *same descriptor slot* at a *tag-equal
+//! incarnation* (128 checkouts later) while `B` is still in progress.
+//! Descriptor memory is type-stable (see [`slab`](crate::slab)), so a
+//! slot's incarnation count survives every reuse and no other kind of
+//! reuse can reach that address. This is the trade Brown's "Reuse, don't
 //! Recycle" line of work makes explicit; widen
 //! [`SEQ_TAG_BITS`](crate::descriptor::SEQ_TAG_BITS) via the descriptor
 //! alignment if a deployment needs more headroom.
 //!
 //! **Reclaim = reuse.** Reaching `refs == 0` used to free the descriptor;
 //! it now returns it to the calling thread's descriptor free list for reuse
-//! by that thread's next SCX, and only free-list overflow (past
-//! [`SLAB_CAP`](crate::slab::SLAB_CAP)) actually frees memory.
+//! by that thread's next SCX. Free-list overflow (past
+//! [`SLAB_CAP`](crate::slab::SLAB_CAP)) spills to the descriptor arena, and
+//! descriptor memory never goes back to the allocator.
 
 use crossbeam_epoch::Guard;
 
@@ -102,8 +104,7 @@ pub(crate) unsafe fn dec_refs<N: Record>(d: *const ScxRecord<N>) {
         // already-cached load on the zero-crossing path only.
         let observed = (*d).refs.load(std::sync::atomic::Ordering::Acquire);
         debug_assert_eq!(observed, 0, "racing increment on a dead descriptor");
-        // The refcount-based free path is a return-to-free-list path;
-        // only free-list overflow actually frees memory.
+        // The refcount-based free path is a return-to-free-list path.
         ScxRecord::release(d as *mut ScxRecord<N>);
     }
 }
@@ -118,15 +119,17 @@ pub(crate) unsafe fn defer_dec_refs<N: Record>(d: *const ScxRecord<N>, guard: &G
     guard.defer_unchecked(move || dec_refs::<N>(d as *const ScxRecord<N>));
 }
 
-/// Frees a record: releases its reference on its last descriptor (if any)
-/// and drops the record's box. Child pointers are *not* followed — the tree
+/// Frees a record: releases its reference on its last descriptor (if any),
+/// drops the record and returns its slot to the thread's record cache. Child pointers are *not* followed — the tree
 /// update template guarantees that every removed record is retired exactly
 /// once, and fringe children remain in the tree.
 ///
 /// # Safety
-/// `ptr` must be a record allocated via `Box` that is no longer reachable by
-/// any thread (typically: called from an epoch-deferred closure scheduled
-/// after the record was finalized and unlinked, or during structure drop).
+/// `ptr` must be a record allocated by
+/// [`slab::alloc_owned`](crate::slab::alloc_owned) that is no longer
+/// reachable by any thread (typically: called from an epoch-deferred
+/// closure scheduled after the record was finalized and unlinked, or
+/// during structure drop).
 pub unsafe fn dispose_record<N: Record>(ptr: *const N) {
     // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
     let info = (*ptr).header().info.load(
@@ -138,9 +141,7 @@ pub unsafe fn dispose_record<N: Record>(ptr: *const N) {
     }
     // Release the slot through the thread-local record cache
     // ([`slab`](crate::slab)): record allocate/free pairs dominate the
-    // update path, and cache-aligned records make the allocator's aligned
-    // path expensive. Box-allocated records are interchangeable with slab
-    // slots (same allocator, same layout).
+    // update path, and the slot stays in the record arena.
     std::ptr::drop_in_place(ptr as *mut N);
     crate::slab::free_slot(ptr as *mut u8, std::alloc::Layout::new::<N>());
 }

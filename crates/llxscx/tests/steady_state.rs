@@ -1,10 +1,11 @@
 //! Steady-state updates allocate nothing: once warm, a single thread's
 //! LLX → SCX → retire → collect cycles recycle every descriptor and record
-//! through its own free lists.
+//! through its own free lists, and never make their arenas carve a chunk.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use llxscx::slab::{Fresh, CHUNK_BYTES};
 use llxscx::{guard_cache, llx, scx, Atomic, Record, RecordHeader, ScxArgs, ScxRecord, Shared};
 
 #[repr(align(64))]
@@ -28,6 +29,8 @@ const RECORD: Layout = Layout::new::<Node>();
 
 /// Allocations with the descriptor's or the record's layout.
 static WATCHED: AtomicUsize = AtomicUsize::new(0);
+/// Allocations of an arena chunk's size or more.
+static CHUNKS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -38,6 +41,10 @@ unsafe impl GlobalAlloc for Counting {
         if layout == DESCRIPTOR || layout == RECORD {
             // SEQCST: test-only; SC keeps the interleaving argument trivial.
             WATCHED.fetch_add(1, Ordering::SeqCst);
+        }
+        if layout.size() >= CHUNK_BYTES {
+            // SEQCST: test-only; SC keeps the interleaving argument trivial.
+            CHUNKS.fetch_add(1, Ordering::SeqCst);
         }
         System.alloc(layout)
     }
@@ -50,7 +57,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-fn node() -> llxscx::Owned<Node> {
+fn node() -> Fresh<Node> {
     llxscx::slab::alloc_owned(Node {
         header: RecordHeader::new(),
         kids: [Atomic::null(), Atomic::null()],
@@ -81,14 +88,18 @@ fn cycle(root: usize) {
 }
 
 #[test]
-fn warm_updates_allocate_no_descriptor_or_record() {
+fn warm_updates_allocate_no_descriptor_record_or_chunk() {
     let root = guard_cache::with_guard(|g| node().into_shared(g).as_raw() as usize);
     for _ in 0..1000 {
         cycle(root);
     }
     // SEQCST: test-only; SC keeps the interleaving argument trivial.
     let before = WATCHED.load(Ordering::SeqCst);
-    for _ in 0..1000 {
+    // SEQCST: test-only; SC keeps the interleaving argument trivial.
+    let chunks_before = CHUNKS.load(Ordering::SeqCst);
+    // More cycles than a chunk has slots of the smaller layout, so a cycle
+    // that leaked a record or a descriptor would have to carve a chunk.
+    for _ in 0..CHUNK_BYTES / RECORD.size() + 1 {
         cycle(root);
     }
     // SEQCST: test-only; SC keeps the interleaving argument trivial.
@@ -97,4 +108,7 @@ fn warm_updates_allocate_no_descriptor_or_record() {
         made, 0,
         "steady-state cycles allocated {made} descriptors/records"
     );
+    // SEQCST: test-only; SC keeps the interleaving argument trivial.
+    let chunks = CHUNKS.load(Ordering::SeqCst) - chunks_before;
+    assert_eq!(chunks, 0, "steady-state cycles carved {chunks} chunks");
 }
